@@ -12,8 +12,12 @@ Three representations:
   models [16] train on one database and predict on another).
 
 Node features use the *optimizer's estimated* cardinalities (what a
-deployed model would see at plan time), obtained from any
-:class:`repro.core.CardinalityEstimator`.
+deployed model would see at plan time).  They are read through a
+:class:`repro.optimizer.cost.PlanCoster`: pass the optimizer's own coster
+and featurization answers from the cardinality cache its plannings just
+filled, sanitized exactly as the planner saw them; pass a bare
+:class:`repro.core.CardinalityEstimator` and it is wrapped in an uncached
+coster, so the same sanitization applies.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 
 from repro.core.interfaces import CardinalityEstimator
 from repro.engine.plans import JoinMethod, JoinNode, Plan, PlanNode, ScanMethod, ScanNode
+from repro.optimizer.cost import PlanCoster
 from repro.optimizer.traditional import TraditionalCardinalityEstimator
 from repro.storage.catalog import Database
 
@@ -39,19 +44,25 @@ _OPS = [
 
 
 class PlanFeaturizer:
-    """Featurizes plans against one database + estimator."""
+    """Featurizes plans against one database + estimator.
+
+    ``estimator`` is either a :class:`PlanCoster` (normally an optimizer's
+    ``coster``, whose cardinality cache is then shared) or a bare
+    estimator; the traditional histogram estimator when omitted.
+    """
 
     def __init__(
         self,
         db: Database,
-        estimator: CardinalityEstimator | None = None,
+        estimator: CardinalityEstimator | PlanCoster | None = None,
     ) -> None:
         self.db = db
-        self.estimator = (
-            estimator
-            if estimator is not None
-            else TraditionalCardinalityEstimator(db)
-        )
+        if estimator is None:
+            estimator = TraditionalCardinalityEstimator(db)
+        if not isinstance(estimator, PlanCoster):
+            estimator = PlanCoster(db, estimator)
+        self.coster = estimator
+        self.estimator = estimator.estimator
         self.tables = list(db.table_names)
         self._table_pos = {t: i for i, t in enumerate(self.tables)}
         self._log_total = math.log1p(max(db.total_rows(), 1))
@@ -70,8 +81,12 @@ class PlanFeaturizer:
                 onehot[i] = 1.0
         return onehot
 
+    def _card(self, plan: Plan, node: PlanNode) -> float:
+        """Sanitized estimated output cardinality of ``node``."""
+        return self.coster.estimate_cardinality(plan.node_subquery(node))
+
     def node_features(self, plan: Plan, node: PlanNode) -> np.ndarray:
-        est_card = max(self.estimator.estimate(plan.node_subquery(node)), 0.0)
+        est_card = self._card(plan, node)
         table_onehot = np.zeros(len(self.tables))
         n_preds = 0.0
         if isinstance(node, ScanNode):
@@ -92,16 +107,14 @@ class PlanFeaturizer:
 
     def transferable_node(self, plan: Plan, node: PlanNode) -> np.ndarray:
         """Database-agnostic node features (zero-shot style [16])."""
-        est_card = max(self.estimator.estimate(plan.node_subquery(node)), 0.0)
+        est_card = self._card(plan, node)
         if isinstance(node, ScanNode):
             base = self.db.table(node.table).n_rows
             in_card = float(base)
             n_preds = len(node.predicates) / 4.0
         else:
             assert isinstance(node, JoinNode)
-            left = max(self.estimator.estimate(plan.node_subquery(node.left)), 0.0)
-            right = max(self.estimator.estimate(plan.node_subquery(node.right)), 0.0)
-            in_card = left + right
+            in_card = self._card(plan, node.left) + self._card(plan, node.right)
             n_preds = 0.0
         sel = est_card / max(in_card, 1.0)
         extra = np.array(
@@ -125,8 +138,7 @@ class PlanFeaturizer:
         log_cards = []
         for node in plan.walk():
             counts += self._op_onehot(node)
-            est = max(self.estimator.estimate(plan.node_subquery(node)), 0.0)
-            log_cards.append(math.log1p(est))
+            log_cards.append(math.log1p(self._card(plan, node)))
         log_cards_arr = np.array(log_cards)
         depth = _tree_depth(plan.root)
         extra = np.array(

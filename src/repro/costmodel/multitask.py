@@ -75,7 +75,7 @@ class UnifiedTransferableModel:
             raise ValueError("plans/latencies/cardinalities must align")
         if not plans:
             raise ValueError("empty pre-training corpus")
-        trees = [plan_to_tree_arrays(p, self.featurizer) for p in plans]
+        corpus = self._batch(plans)
         y = np.column_stack(
             [
                 np.log1p(np.maximum(np.asarray(latencies_ms, float), 0.0)),
@@ -84,13 +84,13 @@ class UnifiedTransferableModel:
         )
         opt = Adam(lr=lr)
         losses: list[float] = []
-        n = len(trees)
+        n = len(corpus)
         for _ in range(epochs):
             order = self._rng.permutation(n)
             total, batches = 0.0, 0
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                batch = PlanTreeBatch.from_trees([trees[i] for i in idx])
+                batch = corpus.take(idx)
                 pred = self.net.forward(batch)
                 diff = pred - y[idx]
                 loss = float((diff**2).mean())
@@ -124,19 +124,19 @@ class UnifiedTransferableModel:
             raise RuntimeError("fine_tune called before pretrain")
         if len(plans) != len(targets):
             raise ValueError("plans/targets must align")
-        trees = [plan_to_tree_arrays(p, self.featurizer) for p in plans]
+        corpus = self._batch(plans)
         y = np.log1p(np.maximum(np.asarray(targets, float), 0.0))
         # Head parameters = everything after the conv trunk.
         head_params: list[np.ndarray] = []
         for layer in self.net.head:
             head_params.extend(layer.parameters())
         opt = Adam(lr=lr)
-        n = len(trees)
+        n = len(corpus)
         for _ in range(epochs):
             order = self._rng.permutation(n)
             for start in range(0, n, 32):
                 idx = order[start : start + 32]
-                batch = PlanTreeBatch.from_trees([trees[i] for i in idx])
+                batch = corpus.take(idx)
                 pred = self.net.forward(batch)
                 grad = np.zeros_like(pred)
                 grad[:, col] = 2.0 * (pred[:, col] - y[idx]) / max(idx.size, 1)
@@ -145,6 +145,13 @@ class UnifiedTransferableModel:
                 for layer in self.net.head:
                     head_grads.extend(layer.gradients())
                 opt.step(head_params, head_grads)
+
+    def _batch(self, plans: list[Plan]) -> PlanTreeBatch:
+        """All plans featurized and flattened once; minibatches are
+        gathered from it with :meth:`PlanTreeBatch.take`."""
+        return PlanTreeBatch.from_trees(
+            [plan_to_tree_arrays(p, self.featurizer) for p in plans]
+        )
 
     # -- task predictions ---------------------------------------------------------------
 
@@ -158,9 +165,7 @@ class UnifiedTransferableModel:
     def _predict(self, plan: Plan) -> np.ndarray:
         if not self._trained:
             raise RuntimeError("predict called before pretrain")
-        tree = plan_to_tree_arrays(plan, self.featurizer)
-        out = self.net.forward(PlanTreeBatch.from_trees([tree]))
-        return out[0]
+        return self.net.forward(self._batch([plan]))[0]
 
     def predict_latency(self, plan: Plan) -> float:
         return float(max(np.expm1(self._predict(plan)[0]), 0.0))
@@ -174,5 +179,4 @@ class UnifiedTransferableModel:
 
     def embed(self, plan: Plan) -> np.ndarray:
         """The shared-representation plan embedding."""
-        tree = plan_to_tree_arrays(plan, self.featurizer)
-        return self.net.embed(PlanTreeBatch.from_trees([tree]))[0]
+        return self.net.embed(self._batch([plan]))[0]

@@ -31,7 +31,7 @@ class BaoOptimizer(LearnedOptimizer):
         thompson: bool = True,
         seed: int = 0,
     ) -> None:
-        featurizer = PlanFeaturizer(optimizer.db, optimizer.estimator)
+        featurizer = PlanFeaturizer(optimizer.db, optimizer.coster)
         super().__init__(
             exploration=HintSetExploration(optimizer, arms),
             risk_model=TreeConvLatencyModel(

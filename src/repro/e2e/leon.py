@@ -53,7 +53,7 @@ class LeonOptimizer:
         self.explore_every = explore_every
         self.retrain_every = retrain_every
         self.shadow_executor = shadow_executor
-        featurizer = PlanFeaturizer(optimizer.db, optimizer.estimator)
+        featurizer = PlanFeaturizer(optimizer.db, optimizer.coster)
         self.comparator = PairwisePlanComparator(featurizer, seed=seed)
         self.history: list[Experience] = []
         self._queries_seen = 0

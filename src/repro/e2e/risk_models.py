@@ -85,11 +85,12 @@ class TreeConvLatencyModel:
         if n < self.min_observations:
             return
         y = np.log1p(np.maximum(np.array(self._latencies), 0.0))
+        corpus = PlanTreeBatch.from_trees(self._trees)
         for i, member in enumerate(self._members):
             # Bootstrap resample per member (Bao's approximate posterior).
             idx = self._rng.integers(0, n, size=n)
             member.fit(
-                [self._trees[j] for j in idx],
+                corpus.take(idx),
                 y[idx],
                 epochs=self.epochs,
                 lr=self.lr,
@@ -97,21 +98,28 @@ class TreeConvLatencyModel:
             )
         self._trained = True
 
+    def _batch(self, candidates: Sequence[CandidatePlan]) -> PlanTreeBatch:
+        return PlanTreeBatch.from_trees(
+            [plan_to_tree_arrays(c.plan, self.featurizer) for c in candidates]
+        )
+
+    def _member_predictions(self, candidates: Sequence[CandidatePlan]) -> np.ndarray:
+        """``[n_members, n_candidates]`` predicted log-latencies."""
+        batch = self._batch(candidates)
+        return np.stack([m.predict(batch) for m in self._members])
+
     def predict(self, candidates: Sequence[CandidatePlan]) -> np.ndarray:
         """Mean predicted latency (ms) across ensemble members."""
-        trees = [plan_to_tree_arrays(c.plan, self.featurizer) for c in candidates]
-        preds = np.stack([m.predict(trees) for m in self._members])
+        preds = self._member_predictions(candidates)
         return np.maximum(np.expm1(preds.mean(axis=0)), 0.0)
 
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self._trained:
             return _default_scores(candidates)
-        trees = [plan_to_tree_arrays(c.plan, self.featurizer) for c in candidates]
         if self.thompson:
             member = self._members[self._rng.integers(len(self._members))]
-            return list(member.predict(trees))
-        preds = np.stack([m.predict(trees) for m in self._members])
-        return list(preds.mean(axis=0))
+            return list(member.predict(self._batch(candidates)))
+        return list(self._member_predictions(candidates).mean(axis=0))
 
 
 class PairwisePlanComparator:
@@ -150,44 +158,46 @@ class PairwisePlanComparator:
         tree = plan_to_tree_arrays(candidate.plan, self.featurizer)
         self._by_query.setdefault(key, []).append((tree, float(latency_ms)))
 
-    def _pairs(self) -> list[tuple[tuple, tuple, float]]:
-        """(tree_a, tree_b, label) with label = 1 when a is faster."""
-        pairs = []
+    def _pairs(self) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+        """All observed trees, plus ``[n_pairs, 2]`` indices ``(a, b)`` into
+        them and labels (1 when a is faster)."""
+        trees: list[tuple] = []
+        pairs: list[tuple[int, int]] = []
+        labels: list[float] = []
         for entries in self._by_query.values():
+            base = len(trees)
+            trees.extend(tree for tree, _ in entries)
             for i in range(len(entries)):
                 for j in range(i + 1, len(entries)):
-                    (ta, la), (tb, lb) = entries[i], entries[j]
+                    la, lb = entries[i][1], entries[j][1]
                     if abs(la - lb) / max(la, lb, 1e-9) < 0.05:
                         continue  # ties teach nothing
-                    pairs.append((ta, tb, 1.0 if la < lb else 0.0))
-        return pairs
+                    pairs.append((base + i, base + j))
+                    labels.append(1.0 if la < lb else 0.0)
+        return trees, np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(labels)
 
     @property
     def n_pairs(self) -> int:
-        return len(self._pairs())
+        return len(self._pairs()[2])
 
     def retrain(self) -> None:
-        pairs = self._pairs()
-        if len(pairs) < self.min_pairs:
+        trees, pairs, labels = self._pairs()
+        n = len(labels)
+        if n < self.min_pairs:
             return
+        corpus = PlanTreeBatch.from_trees(trees)
         opt = Adam(lr=self.lr)
-        n = len(pairs)
         for _ in range(self.epochs):
             order = self._rng.permutation(n)
             for start in range(0, n, 16):
-                chunk = [pairs[k] for k in order[start : start + 16]]
-                trees = []
-                labels = []
-                for ta, tb, y in chunk:
-                    trees.extend([ta, tb])
-                    labels.append(y)
-                batch = PlanTreeBatch.from_trees(trees)
+                chunk = order[start : start + 16]
+                # Trees interleaved a0, b0, a1, b1, ...
+                batch = corpus.take(pairs[chunk].ravel())
                 scores = self.net.forward(batch)[:, 0]
                 diff = scores[1::2] - scores[0::2]  # s(b) - s(a)
                 prob = 1.0 / (1.0 + np.exp(-np.clip(diff, -60, 60)))
-                y_arr = np.array(labels)
-                d_diff = (prob - y_arr) / max(len(chunk), 1)
-                grad = np.zeros((len(trees), 1))
+                d_diff = (prob - labels[chunk]) / max(len(chunk), 1)
+                grad = np.zeros((2 * len(chunk), 1))
                 grad[1::2, 0] = d_diff
                 grad[0::2, 0] = -d_diff
                 self.net._backward(batch, grad)
@@ -249,10 +259,7 @@ class EnsembleLatencyModel:
     def scores(self, candidates: Sequence[CandidatePlan]) -> list[float]:
         if not self.inner._trained:
             return _default_scores(candidates)
-        trees = [
-            plan_to_tree_arrays(c.plan, self.inner.featurizer) for c in candidates
-        ]
-        preds = np.stack([m.predict(trees) for m in self.inner._members])
+        preds = self.inner._member_predictions(candidates)
         means = preds.mean(axis=0)
         stds = preds.std(axis=0)
         cutoff = float(np.quantile(stds, self.variance_quantile))

@@ -38,19 +38,28 @@ class PlanTreeBatch:
         node used as the child of leaves.
     left, right:
         ``[total_nodes]`` int arrays indexing into ``features`` (0 = null).
-    tree_slices:
-        per-tree ``(start, stop)`` ranges into rows ``1..total_nodes`` of
-        ``features`` (offsets already include the +1 null-row shift).
+    offsets:
+        ``[n_trees + 1]`` row offsets into ``features``: tree ``i`` owns rows
+        ``offsets[i]:offsets[i + 1]`` (``offsets[0] == 1``, after the null
+        row).
     """
 
     features: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    tree_slices: list[tuple[int, int]]
+    offsets: np.ndarray
 
     @property
     def n_trees(self) -> int:
-        return len(self.tree_slices)
+        return len(self.offsets) - 1
+
+    def __len__(self) -> int:
+        return self.n_trees
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Node count of every tree, ``[n_trees]``."""
+        return np.diff(self.offsets)
 
     @classmethod
     def from_trees(
@@ -60,39 +69,78 @@ class PlanTreeBatch:
 
         Each tree supplies node ``features`` of shape ``[n, d]`` and per-node
         child indices ``left``/``right`` in ``[-1, n)``, where ``-1`` means
-        "no child".
+        "no child".  Every node may be the child of at most one parent --
+        the backward pass scatters child gradients with plain indexed
+        writes, which is only a sum when no row is written twice.
         """
         if not trees:
             raise ValueError("cannot batch zero trees")
-        node_dim = np.asarray(trees[0][0]).shape[1]
-        all_feats = [np.zeros((1, node_dim))]
-        all_left: list[np.ndarray] = []
-        all_right: list[np.ndarray] = []
-        slices: list[tuple[int, int]] = []
-        offset = 1  # row 0 is the null node
-        for feats, left, right in trees:
-            feats = np.asarray(feats, dtype=float)
-            left = np.asarray(left, dtype=int)
-            right = np.asarray(right, dtype=int)
-            n = feats.shape[0]
-            if feats.ndim != 2 or feats.shape[1] != node_dim:
-                raise ValueError("inconsistent node feature dimensions in batch")
-            if left.shape != (n,) or right.shape != (n,):
-                raise ValueError("child index arrays must have one entry per node")
-            if n == 0:
-                raise ValueError("cannot batch an empty tree")
-            # Shift child indices into the global array; -1 becomes the null row.
-            all_left.append(np.where(left >= 0, left + offset, 0))
-            all_right.append(np.where(right >= 0, right + offset, 0))
-            all_feats.append(feats)
-            slices.append((offset, offset + n))
-            offset += n
-        return cls(
-            features=np.concatenate(all_feats, axis=0),
-            left=np.concatenate(all_left),
-            right=np.concatenate(all_right),
-            tree_slices=slices,
+        feats = [np.asarray(f, dtype=float) for f, _, _ in trees]
+        lefts = [np.asarray(lc, dtype=np.intp) for _, lc, _ in trees]
+        rights = [np.asarray(rc, dtype=np.intp) for _, _, rc in trees]
+        node_dim = feats[0].shape[1]
+        if any(f.ndim != 2 or f.shape[1] != node_dim for f in feats):
+            raise ValueError("inconsistent node feature dimensions in batch")
+        sizes = np.array([f.shape[0] for f in feats], dtype=np.intp)
+        if any(
+            lc.shape != (n,) or rc.shape != (n,)
+            for n, lc, rc in zip(sizes, lefts, rights)
+        ):
+            raise ValueError("child index arrays must have one entry per node")
+        if not sizes.all():
+            raise ValueError("cannot batch an empty tree")
+        left = np.concatenate(lefts)
+        right = np.concatenate(rights)
+        offsets = _offsets(sizes)
+        tree_size = np.repeat(sizes, sizes)
+        if ((left < -1) | (left >= tree_size) | (right < -1) | (right >= tree_size)).any():
+            raise ValueError("child index outside [-1, n) for its tree")
+        # Shift child indices into the global array; -1 becomes the null row.
+        shift = np.repeat(offsets[:-1], sizes)
+        left = np.where(left >= 0, left + shift, 0)
+        right = np.where(right >= 0, right + shift, 0)
+        parents = np.bincount(
+            np.concatenate([left, right]), minlength=int(offsets[-1])
         )
+        if (parents[1:] > 1).any():
+            raise ValueError("a tree node is the child of more than one parent")
+        return cls(
+            features=np.concatenate([np.zeros((1, node_dim)), *feats], axis=0),
+            left=left,
+            right=right,
+            offsets=offsets,
+        )
+
+    def take(self, indices: Sequence[int] | np.ndarray) -> "PlanTreeBatch":
+        """The batch of trees ``indices`` (in that order), gathered by index.
+
+        The result is laid out exactly as :meth:`from_trees` would lay out
+        the same trees, so training on gathered minibatches of a corpus
+        flattened once is bit-identical to re-batching the trees.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        sizes = self.sizes[idx]
+        offsets = _offsets(sizes)
+        # old row = new row + shift, for every node of every gathered tree.
+        shift = np.repeat(self.offsets[idx] - offsets[:-1], sizes)
+        rows = np.arange(1, offsets[-1]) + shift
+        left = self.left[rows - 1]
+        right = self.right[rows - 1]
+        return PlanTreeBatch(
+            features=self.features[np.concatenate(([0], rows))],
+            left=np.where(left > 0, left - shift, 0),
+            right=np.where(right > 0, right - shift, 0),
+            offsets=offsets,
+        )
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Row offsets of consecutive trees of ``sizes`` nodes after the null row."""
+    offsets = np.empty(sizes.size + 1, dtype=np.intp)
+    offsets[0] = 1
+    np.cumsum(sizes, out=offsets[1:])
+    offsets[1:] += 1
+    return offsets
 
 
 class _TreeConvLayer:
@@ -116,18 +164,30 @@ class _TreeConvLayer:
         out[1:] = pre * self._mask
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         # grad_out: [1+N, out_dim]; row 0 is ignored (null node has no grad).
+        # ``input_grad=False`` (the first layer: its input is the plan
+        # features) computes only the parameter gradients.
         g = grad_out[1:] * self._mask
         self.dw = self._concat.T @ g
         self.db = g.sum(axis=0)
+        if not input_grad:
+            return None
         d_concat = g @ self.w.T
         d = self.in_dim
         grad_in = np.zeros((grad_out.shape[0], d))
         grad_in[1:] += d_concat[:, :d]
-        np.add.at(grad_in, self._left, d_concat[:, d : 2 * d])
-        np.add.at(grad_in, self._right, d_concat[:, 2 * d :])
-        grad_in[0] = 0.0
+        # Every node has at most one parent (checked by ``from_trees``), so
+        # the child rows are unique and a plain indexed ``+=`` is the sum.
+        # The null row 0 is never written: it has no gradient.
+        for child, block in (
+            (self._left, d_concat[:, d : 2 * d]),
+            (self._right, d_concat[:, 2 * d :]),
+        ):
+            has = child > 0
+            grad_in[child[has]] += block[has]
         return grad_in
 
     def parameters(self) -> list[np.ndarray]:
@@ -222,15 +282,22 @@ class TreeConvNet:
         x = batch.features
         for layer in self.conv_layers:
             x = layer.forward(x, batch.left, batch.right)
-        pooled = np.empty((batch.n_trees, x.shape[1]))
-        self._argmax: list[np.ndarray] = []
-        for i, (start, stop) in enumerate(batch.tree_slices):
-            rows = x[start:stop]
-            arg = rows.argmax(axis=0)
-            self._argmax.append(arg + start)
-            pooled[i] = rows[arg, np.arange(rows.shape[1])]
+        # Dynamic max pooling per tree and channel.  The argmax is the
+        # node ``ndarray.argmax`` picks: the *first* one reaching the
+        # maximum (or the first NaN, which the maximum then is).  Other
+        # nodes get a sentinel past every row, and a ``minimum.reduceat``
+        # keeps the smallest row index per tree.
+        starts = batch.offsets[:-1] - 1
+        nodes = x[1:]
+        maxima = np.maximum.reduceat(nodes, starts, axis=0)
+        hit = (nodes == np.repeat(maxima, batch.sizes, axis=0)) | np.isnan(nodes)
+        rows = np.arange(1, x.shape[0])[:, None]
+        self._argmax = np.minimum.reduceat(
+            np.where(hit, rows, x.shape[0]), starts, axis=0
+        )
+        self._cols = np.arange(x.shape[1])
         self._last_x_shape = x.shape
-        return pooled
+        return x[self._argmax, self._cols]
 
     def forward(self, batch: PlanTreeBatch) -> np.ndarray:
         pooled = self.embed(batch)
@@ -247,14 +314,12 @@ class TreeConvNet:
             grad = grad * self._sig * (1.0 - self._sig)
         for layer in reversed(self.head):
             grad = layer.backward(grad)
-        # Un-pool: route each pooled gradient to the argmax node.
-        grad_nodes = np.zeros(self._last_x_shape)
-        for i in range(batch.n_trees):
-            cols = np.arange(grad_nodes.shape[1])
-            np.add.at(grad_nodes, (self._argmax[i], cols), grad[i])
-        g = grad_nodes
-        for layer in reversed(self.conv_layers):
-            g = layer.backward(g)
+        # Un-pool: route each pooled gradient to the argmax node.  A pooled
+        # (row, column) pair belongs to exactly one tree, so they are unique.
+        g = np.zeros(self._last_x_shape)
+        g[self._argmax, self._cols] += grad
+        for i in range(len(self.conv_layers) - 1, -1, -1):
+            g = self.conv_layers[i].backward(g, input_grad=i > 0)
 
     def parameters(self) -> list[np.ndarray]:
         params: list[np.ndarray] = []
@@ -276,7 +341,7 @@ class TreeConvNet:
 
     def fit(
         self,
-        trees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        trees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | PlanTreeBatch,
         y: np.ndarray,
         *,
         epochs: int = 60,
@@ -286,7 +351,12 @@ class TreeConvNet:
         seed: int = 0,
         verbose: bool = False,
     ) -> list[float]:
-        """Train on a corpus of trees; returns per-epoch losses."""
+        """Train on a corpus of trees; returns per-epoch losses.
+
+        The corpus is flattened once (or passed already flattened as a
+        :class:`PlanTreeBatch`) and every minibatch is gathered from it by
+        index with :meth:`PlanTreeBatch.take`.
+        """
         y = np.asarray(y, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
@@ -295,6 +365,7 @@ class TreeConvNet:
         if len(trees) == 0:
             raise ValueError("cannot fit on an empty corpus")
         loss_fn = {"mse": mse_loss, "bce": binary_cross_entropy_loss}[loss]
+        corpus = _as_batch(trees)
         rng = np.random.default_rng(seed)
         opt = Adam(lr=lr)
         losses: list[float] = []
@@ -304,7 +375,7 @@ class TreeConvNet:
             total, batches = 0.0, 0
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
-                batch = PlanTreeBatch.from_trees([trees[i] for i in idx])
+                batch = corpus.take(idx)
                 pred = self.forward(batch)
                 value, grad = loss_fn(pred, y[idx])
                 self._backward(batch, grad)
@@ -317,9 +388,16 @@ class TreeConvNet:
         return losses
 
     def predict(
-        self, trees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+        self,
+        trees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | PlanTreeBatch,
     ) -> np.ndarray:
-        if not trees:
+        if not len(trees):
             return np.zeros((0, self.out_dim))
-        out = self.forward(PlanTreeBatch.from_trees(trees))
+        out = self.forward(_as_batch(trees))
         return out[:, 0] if self.out_dim == 1 else out
+
+
+def _as_batch(
+    trees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | PlanTreeBatch,
+) -> PlanTreeBatch:
+    return trees if isinstance(trees, PlanTreeBatch) else PlanTreeBatch.from_trees(trees)

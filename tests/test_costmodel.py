@@ -67,6 +67,45 @@ class TestPlanFeaturizer:
         # Dim must not depend on the number of tables.
         assert featurizer.transferable_dim < featurizer.node_dim
 
+    def test_nan_estimates_are_sanitized(self, imdb_db, imdb_plan_corpus):
+        class NanEstimator:
+            def estimate(self, query):
+                return float("nan")
+
+        feat = PlanFeaturizer(imdb_db, NanEstimator())
+        plan = next(p for p in imdb_plan_corpus[0] if p.join_nodes())
+        tree, _, _ = plan_to_tree_arrays(plan, feat)
+        transferable, _, _ = plan_to_tree_arrays(plan, feat, transferable=True)
+        assert np.isfinite(tree).all()
+        assert np.isfinite(transferable).all()
+        assert np.isfinite(feat.flat(plan)).all()
+
+    def test_optimizer_coster_feeds_featurization_from_its_cache(self, imdb_db):
+        from repro.optimizer import Optimizer
+
+        class CountingEstimator:
+            def __init__(self, base):
+                self.base, self.calls = base, 0
+
+            def estimate(self, query):
+                self.calls += 1
+                return self.base.estimate(query)
+
+        base = Optimizer(imdb_db)
+        counting = CountingEstimator(base.estimator)
+        optimizer = base.with_estimator(counting)
+        feat = PlanFeaturizer(imdb_db, optimizer.coster)
+        uncached = PlanFeaturizer(imdb_db, base.estimator)
+        query = WorkloadGenerator(imdb_db, seed=11).workload(1, 3, 3)[0]
+        plan = optimizer.plan(query)
+        calls = counting.calls
+        tree, left, right = plan_to_tree_arrays(plan, feat)
+        assert counting.calls == calls  # every node cardinality was a cache hit
+        ref_tree, ref_left, ref_right = plan_to_tree_arrays(plan, uncached)
+        assert np.array_equal(tree, ref_tree)
+        assert np.array_equal(left, ref_left) and np.array_equal(right, ref_right)
+        assert np.array_equal(feat.flat(plan), uncached.flat(plan))
+
 
 class TestPointwiseCostModels:
     @pytest.mark.parametrize(

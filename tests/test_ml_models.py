@@ -52,6 +52,27 @@ class TestPlanTreeBatch:
         with pytest.raises(ValueError):
             PlanTreeBatch.from_trees([a, b])
 
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            ([5, -1], [-1, -1]),  # child index past the tree (and the batch)
+            ([-1, -1], [2, -1]),  # child index == n lands in the next tree
+            ([-7, -1], [-1, -1]),  # below -1 is not "no child"
+            ([1, -1], [1, -1]),  # node 1 listed as both children of node 0
+        ],
+    )
+    def test_rejects_malformed_structure(self, left, right):
+        bad = (np.ones((2, 3)), np.array(left), np.array(right))
+        good = (np.ones((2, 3)), np.array([1, -1]), np.array([-1, -1]))
+        with pytest.raises(ValueError):
+            PlanTreeBatch.from_trees([bad, good])
+
+    def test_rejects_node_with_two_parents(self):
+        # Nodes 0 and 1 both claim node 2 as their child.
+        bad = (np.ones((3, 3)), np.array([1, 2, -1]), np.array([2, -1, -1]))
+        with pytest.raises(ValueError):
+            PlanTreeBatch.from_trees([bad])
+
 
 class TestTreeConvNet:
     def test_training_reduces_loss(self):

@@ -150,10 +150,27 @@ def _numeric_grad(f, param, eps=1e-5):
 class TestStructuredGradients:
     def test_treeconv_gradient_matches_numerical(self):
         rng = np.random.default_rng(0)
-        trees = [
+        plain = [
             (rng.normal(size=(3, 4)), np.array([1, 2, -1]), np.array([-1, -1, -1])),
             (rng.normal(size=(2, 4)), np.array([1, -1]), np.array([-1, -1])),
         ]
+        # Identical sibling leaves produce identical conv outputs, so every
+        # channel a leaf wins is a tied maximum; pooling must route the
+        # gradient to the first of them.
+        leaf = np.abs(rng.normal(size=4)) + 1.0
+        tied = [
+            (
+                np.stack([rng.normal(size=4), leaf, leaf]),
+                np.array([1, -1, -1]),
+                np.array([2, -1, -1]),
+            ),
+            (rng.normal(size=(1, 4)), np.array([-1]), np.array([-1])),
+        ]
+        for trees in (plain, tied):
+            self._check_treeconv_gradient(trees)
+
+    @staticmethod
+    def _check_treeconv_gradient(trees):
         target = np.array([[1.0], [2.0]])
         net = TreeConvNet(4, (5,), (3,), seed=1)
         batch = PlanTreeBatch.from_trees(trees)
