@@ -25,7 +25,7 @@ CI diffs across two runs.
 import argparse
 import os
 
-from repro.bench import render_bounds_stats, render_fault_stats, render_table
+from repro.bench import render_fault_stats, render_stats, render_table
 from repro.serve import bound_guard_scenario, chaos_scenario
 
 _PROFILES = {
@@ -122,7 +122,7 @@ def test_p3_bound_guard_absorbs_fault_storm():
     stats = scenario.bound_guard.stats()
     assert stats["estimate_violations"] > 0, "fault storm never crossed a bound"
     assert stats["fallback_served"] > 0
-    print(render_bounds_stats(stats, title="P3: bound guard under chaos"))
+    print(render_stats(stats, title="P3: bound guard under chaos"))
 
 
 def test_p3_determinism_same_seed_same_export():
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     )
     guarded.run()
     print(
-        render_bounds_stats(
+        render_stats(
             guarded.bound_guard.stats(), title="P3: bound guard under chaos"
         )
     )

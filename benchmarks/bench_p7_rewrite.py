@@ -35,7 +35,7 @@ import json
 import os
 from collections import Counter
 
-from repro.bench import render_rewrite_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.e2e.loop import OptimizationLoop
 from repro.engine.simulator import ExecutionSimulator
 from repro.oracle.equivalence import PlanEquivalenceChecker
@@ -193,7 +193,7 @@ def test_p7_promoted_rewrites_oracle_clean():
     oracle = oracle_pass(ctx)
     stats = ctx["leaderboard"].stats()
     print(
-        render_rewrite_stats(
+        render_stats(
             stats,
             title=f"P7: promotion funnel ({PROFILE})",
             note=f"{oracle['plans_checked']} plan shapes re-executed over "
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     stats = leaderboard.stats()
 
     print(
-        render_rewrite_stats(
+        render_stats(
             stats,
             title=f"P7: promotion funnel ({args.profile}), seed={args.seed}",
             note=f"oracle: {run['oracle']['recount_mismatches']} recount "

@@ -33,7 +33,7 @@ import os
 
 import numpy as np
 
-from repro.bench import render_bounds_stats, render_table
+from repro.bench import render_stats, render_table
 from repro.cardest.bounds import AGMSketchBoundEstimator, MCVJoinBoundEstimator
 from repro.engine import CardinalityExecutor
 from repro.faults import FaultPlan
@@ -198,12 +198,8 @@ def test_p8_guard_trips_are_visible():
     assert clean["stats"]["bound_violations"] == 0
     assert clean["stats"]["breaker_trips"] == 0
     assert clean["events"] == 0
-    print(render_bounds_stats(stats, title=f"P8: guard under faults ({PROFILE})"))
-    print(
-        render_bounds_stats(
-            clean["stats"], title="P8: guard on clean serving"
-        )
-    )
+    print(render_stats(stats, title=f"P8: guard under faults ({PROFILE})"))
+    print(render_stats(clean["stats"], title="P8: guard on clean serving"))
 
 
 def test_p8_pessimistic_p99_beats_optimistic_under_drift():
@@ -263,7 +259,7 @@ def main(argv=None) -> int:
         )
     )
     print(
-        render_bounds_stats(
+        render_stats(
             payload["guard"]["faulted"]["stats"], title="P8: guard under faults"
         )
     )

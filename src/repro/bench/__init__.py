@@ -12,12 +12,11 @@ EXPERIMENTS.md); this package provides their shared machinery:
 """
 
 from repro.bench.report import (
-    render_bounds_stats,
     render_cache_stats,
     render_fault_stats,
     render_lifecycle_stats,
-    render_rewrite_stats,
     render_shard_stats,
+    render_stats,
     render_table,
 )
 from repro.bench.io import load_workload, save_workload
@@ -41,12 +40,11 @@ from repro.bench.suite import (
 
 __all__ = [
     "render_table",
-    "render_bounds_stats",
     "render_cache_stats",
     "render_fault_stats",
     "render_lifecycle_stats",
-    "render_rewrite_stats",
     "render_shard_stats",
+    "render_stats",
     "save_workload",
     "load_workload",
     "WorkloadSpec",

@@ -6,12 +6,11 @@ from typing import Sequence
 
 __all__ = [
     "render_table",
-    "render_bounds_stats",
     "render_cache_stats",
     "render_fault_stats",
     "render_lifecycle_stats",
-    "render_rewrite_stats",
     "render_shard_stats",
+    "render_stats",
 ]
 
 
@@ -102,36 +101,14 @@ def render_fault_stats(
     )
 
 
-def render_bounds_stats(
-    stats: dict, *, title: str = "bound guard", note: str | None = None
-) -> str:
-    """Render :meth:`repro.faults.BoundGuard.stats` output.
-
-    Three row groups in one table: the check/violation funnel (checked,
-    observed counts, estimate vs observed-count violations, violation
-    rate), the fallback routing counters (fallback served, breaker
-    denials, primary/bound errors, breaker trips) and the bound/estimate
-    ratio percentiles (how loose the certificates ran).
-    """
-    order = [
-        "checked",
-        "counts_observed",
-        "estimate_violations",
-        "bound_violations",
-        "violation_rate",
-        "fallback_served",
-        "breaker_denied",
-        "primary_errors",
-        "bound_errors",
-        "breaker_trips",
-        "ratio_p50",
-        "ratio_p90",
-        "ratio_p99",
-    ]
-    rows = [(key, stats[key]) for key in order if key in stats]
-    rows.extend((key, stats[key]) for key in sorted(stats) if key not in order)
-    if not rows:
-        rows = [("-", 0)]
+def render_stats(stats: dict, *, title: str, note: str | None = None) -> str:
+    """Render a flat ``{stat: value}`` dict as one (stat, value) row per
+    key, in the dict's own order -- e.g.
+    :meth:`repro.faults.BoundGuard.stats` (check/violation funnel,
+    fallback routing, bound/estimate ratio percentiles) or
+    :meth:`repro.rewrite.PromotionLeaderboard.stats` (the promotion
+    funnel and the learning-side counters)."""
+    rows = list(stats.items()) or [("-", 0)]
     return render_table(title, ["stat", "value"], rows, note=note)
 
 
@@ -149,23 +126,6 @@ def render_lifecycle_stats(
     if not rows:
         rows = [("-", "-", 0)]
     return render_table(title, ["component", "stat", "value"], rows, note=note)
-
-
-def render_rewrite_stats(
-    stats: dict, *, title: str = "rewrite leaderboard", note: str | None = None
-) -> str:
-    """Render :meth:`repro.rewrite.PromotionLeaderboard.stats` output.
-
-    The promotion funnel (submitted -> candidates -> validated ->
-    promoted / demoted / rejected) plus the learning-side counters
-    (anti-patterns, weight-based skips) as one (stat, value) row each, in
-    sorted order -- the same shape as the cache / fault / lifecycle
-    renderers.
-    """
-    rows = [(key, stats[key]) for key in sorted(stats)]
-    if not rows:
-        rows = [("-", 0)]
-    return render_table(title, ["stat", "value"], rows, note=note)
 
 
 def render_shard_stats(

@@ -34,12 +34,12 @@ kernels honest.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from repro.engine.lru import BoundedLRU
 from repro.sql.query import Op
 from repro.storage.table import Table
 
@@ -254,7 +254,7 @@ def compile_predicates(predicates) -> Callable[[Table], np.ndarray] | None:
 # -- the key-index cache ------------------------------------------------------------
 
 
-class KeyIndexCache:
+class KeyIndexCache(BoundedLRU[GroupIndex]):
     """Bounded LRU of full-column :class:`GroupIndex` objects.
 
     Keys are ``(table_name, column, data_version)``: the ``argsort`` of a
@@ -266,29 +266,14 @@ class KeyIndexCache:
     """
 
     def __init__(self, capacity: int = 512) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[tuple, GroupIndex]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(capacity)
 
     def full(self, table: Table, column: str) -> GroupIndex:
         """The (cached) group index over the whole column."""
-        key = (table.name, column, table.data_version)
-        index = self._entries.get(key)
-        if index is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return index
-        self.misses += 1
-        index = GroupIndex.from_keys(table.values(column))
-        self._entries[key] = index
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return index
+        return self.get_or_put(
+            (table.name, column, table.data_version),
+            lambda: GroupIndex.from_keys(table.values(column)),
+        )
 
     def restricted(self, table: Table, column: str, rows: np.ndarray) -> GroupIndex:
         """Group index of ``column`` over the filtered row subset ``rows``.
@@ -318,20 +303,3 @@ class KeyIndexCache:
         perm = position_of[rows_in_key_order]
         sorted_keys = table.values(column)[rows_in_key_order]
         return GroupIndex._from_sorted(sorted_keys, perm)
-
-    def stats(self) -> dict[str, float]:
-        total = self.hits + self.misses
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / total if total else 0.0,
-        }
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept; they describe the session)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)

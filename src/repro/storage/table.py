@@ -108,20 +108,29 @@ class Table:
     def append_rows(self, rows: dict[str, np.ndarray]) -> None:
         """Append rows given as a dict of column-name -> values.
 
-        Used by the dynamic-data (drift) experiments.  All columns of the
-        table must be present and of equal length.
+        Used by the dynamic-data (drift) experiments.  Exactly the table's
+        columns must be present, all of equal length.  The append is
+        atomic: every column is cast and checked (key uniqueness included)
+        before any is assigned, so a rejected append leaves the table and
+        its ``data_version`` untouched.
         """
         missing = set(self.columns) - set(rows)
         if missing:
             raise ValueError(f"append missing columns: {sorted(missing)}")
+        unknown = set(rows) - set(self.columns)
+        if unknown:
+            raise ValueError(f"append has unknown columns: {sorted(unknown)}")
         lengths = {np.asarray(v).shape[0] for v in rows.values()}
         if len(lengths) != 1:
             raise ValueError("appended columns have unequal lengths")
+        merged: dict[str, np.ndarray] = {}
         for name, col in self.columns.items():
             new = np.asarray(rows[name]).astype(col.values.dtype)
-            col.values = np.concatenate([col.values, new])
-            if col.is_key and np.unique(col.values).size != col.values.size:
+            merged[name] = np.concatenate([col.values, new])
+            if col.is_key and np.unique(merged[name]).size != merged[name].size:
                 raise ValueError(f"append violates key uniqueness on {name!r}")
+        for name, values in merged.items():
+            self.columns[name].values = values
         self.n_rows += next(iter(lengths))
         self.data_version += 1
 

@@ -18,6 +18,7 @@ from repro.engine.kernels import (
     lookup_sums,
     match_counts,
 )
+from repro.engine.lru import BoundedLRU
 from repro.sql import ColumnRef, Op, OrPredicate, Predicate
 from repro.storage import Column, Table
 
@@ -277,3 +278,72 @@ class TestKeyIndexCache:
         stats = KeyIndexCache().stats()
         assert set(stats) == {"entries", "hits", "misses", "evictions", "hit_rate"}
         assert stats["hit_rate"] == 0.0
+
+
+class TestBoundedLRU:
+    """The one LRU primitive every cache (this key-index cache included)
+    is built on."""
+
+    def test_get_refreshes_recency(self):
+        lru = BoundedLRU(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.get("a") == 1  # "b" is now the least recent
+        lru.put("c", 3)
+        assert "a" in lru and "c" in lru
+        assert "b" not in lru
+
+    def test_put_existing_key_refreshes_recency(self):
+        lru = BoundedLRU(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        lru.put("a", 10)  # overwrite: "b" is now the least recent
+        lru.put("c", 3)
+        assert "b" not in lru
+        assert lru.get("a") == 10
+        assert lru.stats()["evictions"] == 1
+
+    def test_evictions_counted(self):
+        lru = BoundedLRU(1)
+        for i in range(4):
+            lru.put(i, i)
+        assert len(lru) == 1
+        assert lru.stats()["evictions"] == 3
+
+    def test_membership_counts_nothing(self):
+        lru = BoundedLRU(4)
+        lru.put("a", 1)
+        before = lru.stats()
+        assert "a" in lru
+        assert "z" not in lru
+        assert lru.stats() == before
+
+    def test_get_counts_hits_and_misses(self):
+        lru = BoundedLRU(4)
+        assert lru.get("a") is None
+        assert lru.get_or_put("a", lambda: 7) == 7
+        assert lru.get_or_put("a", lambda: 99) == 7
+        stats = lru.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 2
+        assert stats["hit_rate"] == pytest.approx(1 / 3)
+
+    def test_clear_keeps_counters(self):
+        lru = BoundedLRU(1)
+        lru.put("a", 1)
+        lru.get("a")
+        lru.get("b")
+        lru.put("b", 2)  # evicts "a"
+        lru.clear()
+        assert len(lru) == 0
+        assert lru.stats() == {
+            "entries": 0,
+            "hits": 1,
+            "misses": 1,
+            "evictions": 1,
+            "hit_rate": 0.5,
+        }
+
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_capacity_must_be_positive(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            BoundedLRU(capacity)

@@ -82,6 +82,60 @@ class TestTable:
         assert s.shape == (3, 2)
 
 
+class TestAtomicAppend:
+    """A rejected append must leave the table exactly as it was."""
+
+    @staticmethod
+    def _snapshot(db):
+        from repro.storage.schemagen import database_fingerprint
+
+        lengths = {
+            (tname, cname): table.values(cname).shape[0]
+            for tname, table in db.tables.items()
+            for cname in table.column_names
+        }
+        n_rows = {tname: table.n_rows for tname, table in db.tables.items()}
+        return lengths, n_rows, db.data_version, database_fingerprint(db)
+
+    @staticmethod
+    def _fresh_row(table):
+        """A copy of the last row, with fresh values in the key columns."""
+        row = {c: table.values(c)[-1:].copy() for c in table.column_names}
+        for name in table.column_names:
+            if table.column(name).is_key:
+                row[name] = np.array([table.values(name).max() + 1])
+        return row
+
+    def _assert_rejected_intact(self, table_name, mutate, match=None):
+        from repro.storage import make_stats_lite
+
+        db = make_stats_lite(0.3, seed=0)
+        table = db.table(table_name)
+        row = self._fresh_row(table)
+        mutate(table, row)
+        before = self._snapshot(db)
+        with pytest.raises(ValueError, match=match):
+            table.append_rows(row)
+        assert self._snapshot(db) == before
+
+    def test_duplicate_key_leaves_table_intact(self):
+        def reuse_last_id(table, row):
+            row["id"] = table.values("id")[-1:].copy()
+
+        self._assert_rejected_intact("users", reuse_last_id, match="uniqueness")
+
+    def test_uncastable_last_column_leaves_table_intact(self):
+        def bad_last_value(table, row):
+            row[table.column_names[-1]] = np.array(["not a number"])
+
+        self._assert_rejected_intact("posts", bad_last_value)
+
+    def test_unknown_column_rejected_and_table_intact(self):
+        def extra_column(table, row):
+            row["no_such_column"] = np.array([1])
+
+        self._assert_rejected_intact("posts", extra_column, match="unknown")
+
 class TestDatabase:
     def _db(self):
         a = Table("a", [Column("id", np.arange(3), is_key=True)])
